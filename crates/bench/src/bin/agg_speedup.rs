@@ -135,8 +135,11 @@ fn main() {
     let reps = 5;
 
     let mut table_rows = Vec::new();
-    let mut report =
-        BenchReport::new("agg_radix").f64("sf", sf).usize("rows", rows).usize("cores", cores);
+    let mut report = BenchReport::new("agg_radix")
+        .f64("sf", sf)
+        .usize("rows", rows)
+        .usize("cores", cores)
+        .usize("reps", reps);
     let mut record = |workload: &str,
                       variant: &str,
                       t: usize,

@@ -276,6 +276,7 @@ mod tests {
 
     #[test]
     fn override_beats_env() {
+        let _serial = crate::global_state_lock();
         set_spill_mode(Some(SpillMode::Force));
         assert_eq!(spill_mode(), SpillMode::Force);
         set_spill_mode(Some(SpillMode::Off));

@@ -412,6 +412,7 @@ mod tests {
     use std::sync::Arc;
 
     fn encoded_table() -> Arc<StoredTable> {
+        let _serial = crate::global_state_lock();
         set_encode_enabled(Some(true));
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
         let t = StoredTable::from_columns_with_block_rows(
@@ -495,6 +496,7 @@ mod tests {
 
     #[test]
     fn unencoded_tables_fall_back() {
+        let _serial = crate::global_state_lock();
         set_encode_enabled(Some(false));
         let t = StoredTable::from_columns_with_block_rows(
             "t",
@@ -509,6 +511,7 @@ mod tests {
 
     #[test]
     fn rle_runs_evaluate_once_per_run() {
+        let _serial = crate::global_state_lock();
         set_encode_enabled(Some(true));
         let mut values = vec![3i64; 1000];
         values.extend(vec![900_000i64; 1000]);

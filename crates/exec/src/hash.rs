@@ -154,11 +154,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// ([`hash_key`]/[`hash_row`]).
 ///
 /// Columns are folded **ints-then-strings** (integer-backed columns in
-/// order, then string columns in order) — the exact write sequence the
-/// aggregation `GroupKey`'s `Hash` impl performs — so this function,
-/// radix partition routing, and the aggregation hash table all agree on
-/// one codec: `hash_group_row(cols, r)` equals the `FxHasher` hash of the
-/// `GroupKey` built from row `r` (asserted by a unit test in `ops::agg`).
+/// order, then string columns in order) — the byte order in which the
+/// aggregation core packs a multi-column group key for its table
+/// (asserted by a unit test in `ops::agg`), so radix partition routing
+/// and the aggregation table read one key codec.
 #[inline]
 pub fn hash_group_row(group_cols: &[&bdcc_storage::Column], row: usize) -> u64 {
     use bdcc_storage::Column;

@@ -961,6 +961,7 @@ mod tests {
 
     #[test]
     fn gate_override() {
+        let _serial = crate::global_state_lock();
         set_kernel_enabled(Some(false));
         assert!(!kernel_enabled());
         set_kernel_enabled(Some(true));

@@ -52,3 +52,14 @@ pub use profile::{OpProf, ProfiledOp, Profiler};
 pub use run::{canonical_rows, explain_analyze, run_measured, run_plan, Analyzed, Measurement};
 pub use scheme::{bdcc_scheme, pk_scheme, plain_scheme, Scheme, SchemeDb};
 pub use serve::{QueryHandle, QueryOptions, QueryOutcome, ServeError, Server, ServerConfig};
+
+/// Serializes the unit tests that read or flip process-wide state — the
+/// live spill-file registry (which every spilling test changes) and the
+/// encode, spill-mode and kernel gates — so parallel test threads cannot
+/// observe each other's effects. The guarded data is `()`, so a poisoned
+/// lock (a failed test) is still safe to take.
+#[cfg(test)]
+pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

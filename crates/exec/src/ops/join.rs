@@ -897,6 +897,7 @@ mod tests {
     fn spilled_build_is_byte_identical_for_every_flavor() {
         use crate::broker::SpillMode;
         use bdcc_storage::live_spill_files;
+        let _serial = crate::global_state_lock();
         // Build side big enough to scatter across many partitions; left
         // side chunked so multiple probe rounds hit the restored leaves.
         let left: Vec<(i64, i64)> = (0..400).map(|i| (i % 37, i)).collect();
@@ -959,6 +960,7 @@ mod tests {
     #[test]
     fn spilled_build_under_parallel_probe_matches() {
         use crate::broker::SpillMode;
+        let _serial = crate::global_state_lock();
         // Broker + parallel config: the spilled probe path is serial but
         // must still be byte-identical to the parallel in-memory one.
         let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
@@ -1001,6 +1003,7 @@ mod tests {
     fn roomy_auto_budget_never_spills() {
         use crate::broker::SpillMode;
         use bdcc_storage::live_spill_files;
+        let _serial = crate::global_state_lock();
         let tracker = MemoryTracker::new();
         let io = IoTracker::new();
         let base = live_spill_files();

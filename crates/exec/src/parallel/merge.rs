@@ -63,7 +63,7 @@ pub fn merge_partial_aggs(mut partials: Vec<PartialAgg>) -> Result<Batch> {
     }
     let mut acc = partials.remove(0);
     for p in partials {
-        acc.merge(p);
+        acc.merge(p)?;
     }
     acc.finish()
 }

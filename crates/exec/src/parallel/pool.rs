@@ -179,13 +179,15 @@ mod tests {
 
     #[test]
     fn error_short_circuits_remaining_tasks() {
-        // Task 0 fails instantly; the rest sleep. The scope must stop
-        // starting jobs once the failure is flagged, so far fewer than all
-        // tasks execute (racy by a worker's worth of tasks, not dozens).
+        // The first task to run fails instantly; the rest sleep. The scope
+        // must stop starting jobs once the failure is flagged, so far fewer
+        // than all tasks execute (racy by a worker's worth of tasks, not
+        // dozens). Failing whichever task runs first, rather than task 0,
+        // keeps the check independent of which queue the pool drains
+        // first while other tests keep its workers busy.
         let executed = AtomicUsize::new(0);
         let r: Result<Vec<usize>> = run_tasks(2, 64, |i| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if i == 0 {
+            if executed.fetch_add(1, Ordering::Relaxed) == 0 {
                 Err(ExecError::Internal("boom".into()))
             } else {
                 std::thread::sleep(std::time::Duration::from_millis(1));

@@ -409,6 +409,7 @@ mod tests {
     }
 
     fn spilled(t: &Arc<StoredTable>, broker_of: impl Fn(&Arc<MemoryTracker>) -> MemoryBroker) {
+        let _serial = crate::global_state_lock();
         let want = serial(t);
         let base = live_spill_files();
         for threads in [2, 4] {

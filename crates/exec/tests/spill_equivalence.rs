@@ -6,7 +6,7 @@
 //! faults), and keep tracked memory within the query budget when one is
 //! set.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use bdcc_catalog::{Catalog, ColumnDef, Database, TableDef};
@@ -18,6 +18,14 @@ use bdcc_exec::{
 };
 use bdcc_pool::{CancelToken, FaultInjector, FaultPlan};
 use bdcc_storage::{live_spill_files, Column, DataType, StoredTable, TableBuilder};
+
+/// Every test here spills and compares the process-wide live spill-file
+/// count, so they run one at a time. The guarded data is `()`, so a lock
+/// poisoned by a failed test is still safe to take.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const N_CUST: i64 = 512;
 const N_ORDERS: i64 = 20_000;
@@ -139,6 +147,7 @@ fn ctx(sdb: &Arc<SchemeDb>, threads: usize) -> QueryContext {
 
 #[test]
 fn spill_modes_are_byte_identical_across_schemes_and_threads() {
+    let _serial = serial();
     let schemes = schemes();
     let base_files = live_spill_files();
     for (query_name, query) in [("join_heavy", join_heavy()), ("fine_agg", fine_agg())] {
@@ -178,6 +187,7 @@ fn spill_modes_are_byte_identical_across_schemes_and_threads() {
 
 #[test]
 fn spilling_completes_within_half_the_unspilled_peak() {
+    let _serial = serial();
     let schemes = schemes();
     let (_, plain) = &schemes[0];
     for (query_name, query) in [("join_heavy", join_heavy()), ("fine_agg", fine_agg())] {
@@ -208,6 +218,7 @@ fn spilling_completes_within_half_the_unspilled_peak() {
 
 #[test]
 fn budget_exceeded_survives_only_for_truly_oversized_queries() {
+    let _serial = serial();
     // The aggregate above a join is not a leaf fragment, so it runs as
     // an in-memory hash aggregate whose state (512 groups) cannot spill:
     // a 1 KB budget still dies with a budget error even in auto mode —
@@ -226,6 +237,7 @@ fn budget_exceeded_survives_only_for_truly_oversized_queries() {
 
 #[test]
 fn deadline_and_cancel_mid_spill_drain_all_temp_files() {
+    let _serial = serial();
     let schemes = schemes();
     let (_, plain) = &schemes[0];
     let base_files = live_spill_files();
@@ -261,6 +273,7 @@ fn deadline_and_cancel_mid_spill_drain_all_temp_files() {
 
 #[test]
 fn injected_faults_mid_spill_drain_all_temp_files() {
+    let _serial = serial();
     let schemes = schemes();
     let (_, plain) = &schemes[0];
     let base_files = live_spill_files();

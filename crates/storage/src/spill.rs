@@ -454,6 +454,15 @@ impl SpillReader {
 mod tests {
     use super::*;
 
+    /// Every test here creates spill files and one compares the
+    /// process-wide live count, so they run one at a time. The guarded
+    /// data is `()`, so a lock poisoned by a failed test is still safe to
+    /// take.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn columns() -> Vec<Column> {
         vec![
             Column::from_i64(vec![5, -3, 1 << 40, 5, 0]),
@@ -471,6 +480,7 @@ mod tests {
 
     #[test]
     fn round_trips_every_type_bit_exactly() {
+        let _serial = serial();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();
         let cols = columns();
@@ -507,6 +517,7 @@ mod tests {
 
     #[test]
     fn rereads_yield_identical_entries() {
+        let _serial = serial();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();
         w.write_columns(&columns()).unwrap();
@@ -519,6 +530,7 @@ mod tests {
 
     #[test]
     fn spill_io_is_metered_once_per_direction() {
+        let _serial = serial();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();
         w.write_columns(&columns()).unwrap();
@@ -537,6 +549,7 @@ mod tests {
 
     #[test]
     fn files_unlink_on_drop_and_on_unfinished_writer() {
+        let _serial = serial();
         let base = live_spill_files();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();

@@ -16,16 +16,22 @@
 //! Thread counts {1, 2, 4} and tiny morsels (`BDCC_MORSEL_ROWS`, default
 //! 16, over 8-row storage blocks) force many-morsel fan-outs on
 //! laptop-sized inputs.
+//!
+//! The batch contract of the aggregation core is checked directly on
+//! in-memory batch streams: output independent of batch boundaries, the
+//! streaming and sandwich variants equal to hash aggregation on sorted
+//! input, bitwise float keys, collision-free composite string keys, and
+//! the zero-state row of a global aggregate over empty input.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use bdcc::exec::batch::Batch;
-use bdcc::exec::ops::agg::HashAggregate;
+use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
+use bdcc::exec::ops::agg::{HashAggregate, PartialAgg, SandwichAggregate, StreamingAggregate};
 use bdcc::exec::ops::scan::PlainScan;
-use bdcc::exec::ops::{collect, BoxedOp};
+use bdcc::exec::ops::{collect, BoxedOp, Operator};
 use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate, ScanBlueprint, ScanKind};
 use bdcc::exec::{AggFunc, AggSpec, Expr, MemoryTracker, ParallelConfig};
 use bdcc::storage::{Column, StoredTable};
@@ -48,24 +54,71 @@ fn fval(v: i64) -> f64 {
     v as f64 * 0.1 - 0.55
 }
 
+/// The `g`, `s`, `v`, `f` columns of `rows`.
+fn row_columns(rows: &[Row]) -> Vec<(&'static str, Column)> {
+    vec![
+        ("g", Column::from_i64(rows.iter().map(|r| r.0).collect())),
+        ("s", Column::from_strings(rows.iter().map(|r| format!("s{}", r.1)).collect())),
+        ("v", Column::from_i64(rows.iter().map(|r| r.2).collect())),
+        ("f", Column::from_f64(rows.iter().map(|r| fval(r.2)).collect())),
+    ]
+}
+
 fn build_table(rows: &[Row]) -> Arc<StoredTable> {
-    let g: Vec<i64> = rows.iter().map(|r| r.0).collect();
-    let s: Vec<String> = rows.iter().map(|r| format!("s{}", r.1)).collect();
-    let v: Vec<i64> = rows.iter().map(|r| r.2).collect();
-    let f: Vec<f64> = rows.iter().map(|r| fval(r.2)).collect();
-    Arc::new(
-        StoredTable::from_columns_with_block_rows(
-            "t",
-            vec![
-                ("g".into(), Column::from_i64(g)),
-                ("s".into(), Column::from_strings(s)),
-                ("v".into(), Column::from_i64(v)),
-                ("f".into(), Column::from_f64(f)),
-            ],
-            8, // tiny MinMax blocks → many morsels at tiny morsel sizes
-        )
-        .unwrap(),
-    )
+    let cols = row_columns(rows).into_iter().map(|(n, c)| (n.to_string(), c)).collect();
+    // Tiny MinMax blocks → many morsels at tiny morsel sizes.
+    Arc::new(StoredTable::from_columns_with_block_rows("t", cols, 8).unwrap())
+}
+
+/// An in-memory operator replaying `cols` in batches of `chunk` rows.
+struct Batches {
+    schema: OpSchema,
+    batches: std::vec::IntoIter<Batch>,
+}
+
+impl Batches {
+    fn new(cols: Vec<(&str, Column)>, chunk: usize) -> Batches {
+        let schema = cols.iter().map(|(n, c)| ColMeta::new(*n, c.data_type())).collect();
+        let n = cols.first().map_or(0, |(_, c)| c.len());
+        let batches: Vec<Batch> = (0..n)
+            .step_by(chunk)
+            .map(|start| {
+                let end = (start + chunk).min(n);
+                Batch::new(cols.iter().map(|(_, c)| c.slice(start, end)).collect())
+            })
+            .collect();
+        Batches { schema, batches: batches.into_iter() }
+    }
+}
+
+impl Operator for Batches {
+    fn schema(&self) -> &OpSchema {
+        &self.schema
+    }
+    fn next(&mut self) -> bdcc::exec::Result<Option<Batch>> {
+        Ok(self.batches.next())
+    }
+}
+
+fn hash_agg(src: Batches, group_by: &[&str], aggs: Vec<AggSpec>) -> Batch {
+    collect(Box::new(
+        HashAggregate::new(Box::new(src), group_by, aggs, MemoryTracker::new()).unwrap(),
+    ))
+    .unwrap()
+}
+
+/// Byte-identical: same columns, types and values, floats by bit pattern.
+fn assert_bit_identical(a: &Batch, b: &Batch, what: &str) {
+    assert_eq!(a.columns.len(), b.columns.len(), "{what}: column count");
+    for (c, (x, y)) in a.columns.iter().zip(&b.columns).enumerate() {
+        match (x.as_f64(), y.as_f64()) {
+            (Ok(xv), Ok(yv)) => {
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(xv), bits(yv), "{what}: float column {c}");
+            }
+            _ => assert_eq!(x, y, "{what}: column {c}"),
+        }
+    }
 }
 
 /// Every aggregate kind over the two measures.
@@ -283,5 +336,140 @@ proptest! {
         ))
         .unwrap();
         assert_equivalent_modulo_float_ulp(&s, &auto);
+    }
+}
+
+proptest! {
+    /// The same rows fed as 1-row, 7-row and whole batches aggregate to
+    /// byte-identical output in the same group order, for a global, an
+    /// integer-keyed and a composite string/int-keyed group-by.
+    #[test]
+    fn output_is_independent_of_batch_boundaries(
+        rows in prop::collection::vec((0i64..9, 0i64..4, -50i64..50), 1..120),
+    ) {
+        for group_by in [&[][..], &["g"][..], &["s", "g"][..]] {
+            let whole = hash_agg(Batches::new(row_columns(&rows), rows.len()), group_by, all_aggs());
+            for chunk in [1, 7] {
+                let split = hash_agg(Batches::new(row_columns(&rows), chunk), group_by, all_aggs());
+                assert_bit_identical(&whole, &split, &format!("{group_by:?} in {chunk}-row batches"));
+            }
+        }
+    }
+
+    /// On input sorted by the group key, streaming aggregation equals hash
+    /// aggregation row for row; on input sorted by a partition column the
+    /// key determines, so does sandwich aggregation.
+    #[test]
+    fn streaming_and_sandwich_match_hash_on_sorted_input(
+        mut rows in prop::collection::vec((0i64..9, 0i64..4, -50i64..50), 1..120),
+        chunk in 1usize..20,
+    ) {
+        // Sort by (s, g) — the streaming key — stably, so rows of one
+        // group keep their relative order.
+        rows.sort_by_key(|r| (format!("s{}", r.1), r.0));
+        let want = hash_agg(Batches::new(row_columns(&rows), chunk), &["s", "g"], all_aggs());
+        let streaming = StreamingAggregate::new(
+            Box::new(Batches::new(row_columns(&rows), chunk)),
+            &["s", "g"],
+            all_aggs(),
+        )
+        .unwrap();
+        assert_bit_identical(&want, &collect(Box::new(streaming)).unwrap(), "streaming");
+
+        // Partition p = g / 3 is determined by the key; group rows by it.
+        rows.sort_by_key(|r| r.0 / 3);
+        let with_partition = || {
+            let mut cols = row_columns(&rows);
+            cols.push(("p", Column::from_i64(rows.iter().map(|r| r.0 / 3).collect())));
+            Batches::new(cols, chunk)
+        };
+        let want = hash_agg(with_partition(), &["g", "s"], all_aggs());
+        let sandwich = SandwichAggregate::new(
+            Box::new(with_partition()),
+            &["g", "s"],
+            all_aggs(),
+            vec![4],
+            MemoryTracker::new(),
+        )
+        .unwrap();
+        assert_bit_identical(&want, &collect(Box::new(sandwich)).unwrap(), "sandwich");
+    }
+}
+
+/// Float keys group by bit pattern: `NaN`, `-0.0` and `0.0` are three
+/// groups, alone and inside a composite key.
+#[test]
+fn float_keys_group_by_bit_pattern() {
+    let keys = vec![0.0, -0.0, f64::NAN, 0.0, f64::NAN, -0.0, 0.0];
+    let tags: Vec<String> = vec!["t".into(); keys.len()];
+    let cnt = || vec![AggSpec::new(AggFunc::Count, Expr::lit(1), "n")];
+    for group_by in [&["k"][..], &["k", "tag"][..]] {
+        let cols = vec![
+            ("k", Column::from_f64(keys.clone())),
+            ("tag", Column::from_strings(tags.clone())),
+        ];
+        let out = hash_agg(Batches::new(cols, 3), group_by, cnt());
+        let got: Vec<u64> = out.columns[0].as_f64().unwrap().iter().map(|f| f.to_bits()).collect();
+        assert_eq!(got, vec![0.0f64.to_bits(), (-0.0f64).to_bits(), f64::NAN.to_bits()]);
+        assert_eq!(out.columns.last().unwrap().as_i64().unwrap(), &[3, 2, 2], "{group_by:?}");
+    }
+}
+
+/// Composite string keys that collide under naive concatenation stay
+/// apart, empty strings included, on the serial and radix paths.
+#[test]
+fn composite_string_keys_never_collide() {
+    let pairs = [("a", "bc"), ("ab", "c"), ("", "abc"), ("abc", ""), ("", ""), ("a", "bc")];
+    let col = |i: usize| Column::from_strings(pairs.iter().map(|p| [p.0, p.1][i].into()).collect());
+    let cols = vec![("a", col(0)), ("b", col(1)), ("k", Column::from_i64(vec![1; pairs.len()]))];
+    let cnt = vec![AggSpec::new(AggFunc::Count, Expr::lit(1), "n")];
+    let out = hash_agg(Batches::new(cols.clone(), 2), &["a", "b", "k"], cnt.clone());
+    assert_eq!(out.columns[0].as_str().unwrap(), &["a", "ab", "", "abc", ""]);
+    assert_eq!(out.columns[1].as_str().unwrap(), &["bc", "c", "abc", "", ""]);
+    assert_eq!(out.columns[3].as_i64().unwrap(), &[2, 1, 1, 1, 1]);
+
+    let table = StoredTable::from_columns_with_block_rows(
+        "t",
+        cols.into_iter().map(|(n, c)| (n.to_string(), c)).collect(),
+        2,
+    )
+    .unwrap();
+    let bp = ScanBlueprint {
+        table: Arc::new(table),
+        columns: vec!["a".into(), "b".into(), "k".into()],
+        predicates: vec![],
+        kind: ScanKind::Plain,
+        filter_kernel: bdcc_exec::kernel_enabled(),
+    };
+    let cfg = ParallelConfig { threads: 2, morsel_rows: 2, agg_radix: Some(true) };
+    let radix = ParallelAggregate::new(
+        FragmentBlueprint { scan: bp, steps: vec![] },
+        &["a", "b", "k"],
+        cnt,
+        IoTracker::new(),
+        cfg,
+        MemoryTracker::new(),
+    )
+    .unwrap();
+    assert_bit_identical(&out, &collect(Box::new(radix)).unwrap(), "radix");
+}
+
+/// A global aggregate over empty input yields the single zero-state row,
+/// from the serial operator and from a finished empty partial alike.
+#[test]
+fn global_aggregate_over_empty_input_yields_the_zero_row() {
+    let empty = row_columns(&[]);
+    let schema: OpSchema = empty.iter().map(|(n, c)| ColMeta::new(*n, c.data_type())).collect();
+    let serial = hash_agg(Batches::new(empty, 4), &[], all_aggs());
+    let partial = PartialAgg::new(&schema, &[], &all_aggs()).unwrap().finish().unwrap();
+    for out in [&serial, &partial] {
+        assert_eq!(out.rows(), 1);
+        assert_eq!(out.columns[0].as_i64().unwrap(), &[0], "sum_v");
+        assert_eq!(out.columns[1].as_f64().unwrap()[0].to_bits(), 0, "sum_f is +0.0");
+        assert_eq!(out.columns[2].as_f64().unwrap()[0].to_bits(), 0, "avg_f is +0.0");
+        assert_eq!(out.columns[3].as_i64().unwrap(), &[0], "min_v");
+        assert_eq!(out.columns[4].as_f64().unwrap()[0].to_bits(), 0, "max_f is +0.0");
+        assert_eq!(out.columns[5].as_i64().unwrap(), &[0], "cnt");
+        assert_eq!(out.columns[6].as_i64().unwrap(), &[0], "nd_v");
     }
 }
